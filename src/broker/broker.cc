@@ -282,7 +282,6 @@ void Broker::deliver_local(ClientId client, const Publication& pub,
     const double latency = now - tag->origin_time;
     if (delivery_latency_) delivery_latency_->observe(latency);
     if (delivery_latency_broker_) delivery_latency_broker_->observe(latency);
-    if (latency_sink_) latency_sink_(latency);
     if (tag->sampled) {
       TMPS_EVENT(tracer_, tag->trace, "pub:deliver",
                  {{"broker", std::to_string(id_)},

@@ -94,14 +94,6 @@ class Broker {
   /// they record time 0.
   void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
-  /// Observes every provenance-derived end-to-end delivery latency, in
-  /// addition to the histograms. SimNetwork feeds Stats through this so the
-  /// bench summaries and the histograms see identical samples.
-  using DeliveryLatencySink = std::function<void(double)>;
-  void set_delivery_latency_sink(DeliveryLatencySink sink) {
-    latency_sink_ = std::move(sink);
-  }
-
   /// The last-N event ring (null when cfg.obs.flight_capacity == 0).
   obs::FlightRecorder* flight() { return flight_.get(); }
   const obs::FlightRecorder* flight() const { return flight_.get(); }
@@ -247,7 +239,6 @@ class Broker {
   obs::Histogram* delivery_latency_ = nullptr;
   obs::Histogram* delivery_latency_broker_ = nullptr;
   std::function<double()> clock_;
-  DeliveryLatencySink latency_sink_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::StageProfiler> prof_;
   std::uint64_t msg_seq_ = 0;

@@ -203,7 +203,6 @@ std::vector<Publication> ClientStub::take_commands() {
 }
 
 void ClientStub::deliver(const Publication& pub) {
-  delivered_.push_back(pub);
   if (deliver_) deliver_(pub);
 }
 

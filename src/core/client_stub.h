@@ -133,7 +133,6 @@ class ClientStub {
   void queue_command(Publication pub) { pending_pubs_.push_back(std::move(pub)); }
   std::vector<Publication> take_commands();
 
-  const std::vector<Publication>& delivered_log() const { return delivered_; }
   std::size_t buffered_count() const { return buffer_.size(); }
   std::size_t buffered_bytes() const { return buffered_bytes_; }
   std::size_t queued_commands() const { return pending_pubs_.size(); }
@@ -164,7 +163,6 @@ class ClientStub {
   std::deque<Buffered> buffer_;
   std::size_t buffered_bytes_ = 0;
   std::unordered_set<PublicationId> seen_;
-  std::vector<Publication> delivered_;
   std::deque<Publication> pending_pubs_;
 };
 

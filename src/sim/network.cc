@@ -33,10 +33,6 @@ SimNetwork::SimNetwork(const Overlay& overlay, BrokerConfig broker_cfg,
     brokers_[b].broker = std::make_unique<Broker>(b, overlay_, broker_cfg);
     brokers_[b].broker->set_observability(&tracer_, &metrics_);
     brokers_[b].broker->set_clock([this] { return events_.now(); });
-    // Provenance latencies feed Stats from the same samples the histograms
-    // observe, so bench summaries and histogram percentiles agree.
-    brokers_[b].broker->set_delivery_latency_sink(
-        [this](double s) { stats_.record_delivery_latency(s); });
   }
   // Pre-create directed link states; heterogeneous profiles draw a per-link
   // base delay once (log-normal around the configured mean) and use it for

@@ -122,18 +122,6 @@ class Stats {
   void count_delivery(BrokerId b, ClientId client);
   std::uint64_t deliveries() const { return deliveries_; }
 
-  // --- end-to-end delivery latency (publication provenance) ---
-
-  /// One provenance-derived end-to-end delivery latency (publish at the
-  /// origin broker to delivery at the edge broker). Fed by SimNetwork's
-  /// per-broker latency sink from the same samples the provenance
-  /// histograms observe, so the two summaries agree within bucket
-  /// quantization.
-  void record_delivery_latency(double seconds) {
-    delivery_latency_.add(seconds);
-  }
-  const Summary& delivery_latency_summary() const { return delivery_latency_; }
-
   const std::map<BrokerId, std::uint64_t>& broker_messages() const {
     return broker_msgs_;
   }
@@ -157,7 +145,6 @@ class Stats {
   std::map<std::pair<BrokerId, BrokerId>, std::uint64_t> link_counts_;
   std::map<std::string, std::uint64_t> type_counts_;
   std::map<TxnId, std::uint64_t> cause_counts_;
-  Summary delivery_latency_;
   std::vector<MovementRecord> movements_;
   /// txn -> index into movements_, so messages attributed to a movement
   /// *after* its record was captured (covering-induced (un)subscriptions

@@ -68,10 +68,6 @@ TcpTransport::TcpTransport(const Overlay& overlay, std::uint16_t base_port,
     node->broker = std::make_unique<Broker>(b, overlay_, broker_cfg);
     node->broker->set_observability(&tracer_, &metrics_);
     node->broker->set_clock([this] { return now(); });
-    node->broker->set_delivery_latency_sink([this](double s) {
-      std::lock_guard lock(stats_mu_);
-      stats_.record_delivery_latency(s);
-    });
     node->engine =
         std::make_unique<MobilityEngine>(*node->broker, *this, mobility_cfg);
     node->engine->set_transmit([this, b](Broker::Outputs out) {
@@ -485,8 +481,7 @@ void TcpTransport::send_frame(BrokerId from, BrokerId to, const Message& msg) {
   auto it = node.peer_fd.find(to);
   if (it == node.peer_fd.end() ||
       !write_full(it->second, frame.data(), frame.size())) {
-    // Link gone: the message is lost at this layer (the paper's fault model
-    // masks this with persistent queues; see DurableNode).
+    // Link gone: the message is lost at this layer.
     send_failures_->inc();
     if (msg.cause != kNoTxn) retire_cause(msg.cause);
     in_flight_.fetch_sub(1, std::memory_order_relaxed);

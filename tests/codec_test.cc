@@ -182,7 +182,7 @@ TEST(Codec, SessionMessagesRoundTripFieldForField) {
     // Absent will stays absent — no phantom publication on decode.
     Message m;
     m.id = 2;
-    m.payload = SessionOpenMsg{42, 3};
+    m.payload = SessionOpenMsg{42, 3, false, {}};
     const Message back = round_trip(m);
     const auto* b = std::get_if<SessionOpenMsg>(&back.payload);
     ASSERT_NE(b, nullptr);

@@ -1,149 +1,202 @@
-// Three-phase commit driven through the discrete-event scheduler with
-// message delays, timeout-driven termination and crash windows: across
-// randomized runs every participant that decides must decide the same way,
-// and with the non-blocking timeouts everyone eventually decides.
+// The engine's three-phase movement commit (Sec. 4) driven through the
+// simulated network with seeded link jitter and crash-restart outages that
+// are masked the way Sec. 3.5 assumes (a crashed broker's messages are
+// delayed, never lost): across randomized runs the source coordinator and
+// the target participant never decide differently, and with the
+// non-blocking timeouts both always decide.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <random>
+#include <vector>
 
-#include "sim/event_queue.h"
-#include "txn/three_pc.h"
+#include "core/mobility_engine.h"
+#include "pubsub/workload.h"
+#include "sim/network.h"
 
 namespace tmps {
 namespace {
 
-struct DistributedRun {
-  explicit DistributedRun(int n, std::uint64_t seed)
-      : rng(seed), delay(0.001, 0.05) {
-    std::vector<int> ids;
-    for (int i = 0; i < n; ++i) ids.push_back(i);
-    coord = std::make_unique<TpcCoordinator>(
-        1, ids,
-        [this](int to, const TpcMsg& m) {
-          if (coord_crashed) return;
-          events.schedule_in(delay(rng), [this, to, m] {
-            if (!part_crashed[to]) parts[to]->on_message(m);
-          });
-        });
-    for (int i = 0; i < n; ++i) {
-      part_crashed.push_back(false);
-      parts.push_back(std::make_unique<TpcParticipant>(
-          i,
-          [this](const TpcMsg& m) {
-            events.schedule_in(delay(rng), [this, m] {
-              if (!coord_crashed) coord->on_message(m);
-            });
-          },
-          [](TxnId) { return true; }));
-    }
-  }
+constexpr ClientId kMover = 500;
+constexpr ClientId kPublisher = 600;
+constexpr BrokerId kSource = 2;
+constexpr BrokerId kTarget = 5;
 
-  /// Drives timeouts: every 0.5 s of simulated time, fire the timeout hook
-  /// of every live party until everyone has decided.
-  void drive_timeouts(double horizon) {
-    for (double t = 0.5; t < horizon; t += 0.5) {
-      events.schedule_at(t, [this] {
-        if (!coord_crashed) coord->on_timeout();
-        for (std::size_t i = 0; i < parts.size(); ++i) {
-          if (!part_crashed[i]) parts[i]->on_timeout();
-        }
+NetworkProfile jittery(std::uint64_t seed) {
+  NetworkProfile p = NetworkProfile::lan();
+  p.delay_jitter = 0.003;
+  p.seed = seed;
+  return p;
+}
+
+MobilityConfig non_blocking() {
+  MobilityConfig cfg;
+  cfg.negotiate_timeout = 0.5;
+  cfg.prepare_timeout = 0.5;
+  return cfg;
+}
+
+/// Chain 1-2-3-4-5: a publisher at 1, the mover at 2, moving to 5 over the
+/// path 2-3-4-5 (source, two relays, target).
+struct DistributedRun {
+  explicit DistributedRun(std::uint64_t seed)
+      : rng(seed), overlay(Overlay::chain(5)), net(overlay, {}, jittery(seed)) {
+    for (BrokerId b = 1; b <= 5; ++b) {
+      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net,
+                                                         non_blocking()));
+      engines.back()->set_transmit([this, b](Broker::Outputs out) {
+        net.transmit(b, std::move(out));
       });
     }
+    Broker::Outputs out;
+    engine(1).connect_client(kPublisher);
+    engine(1).advertise(kPublisher, full_space_advertisement(), out);
+    net.transmit(1, std::move(out));
+    net.run();
+    engine(kSource).connect_client(kMover);
+    engine(kSource).subscribe(kMover, workload_filter(WorkloadKind::Covered, 2),
+                              out);
+    net.transmit(kSource, std::move(out));
+    net.run();
   }
 
-  EventQueue events;
+  MobilityEngine& engine(BrokerId b) { return *engines[b - 1]; }
+
+  /// Starts the movement without running the network.
+  void start_move() {
+    Broker::Outputs out;
+    txn = engine(kSource).initiate_move(kMover, kTarget, out);
+    net.transmit(kSource, std::move(out));
+  }
+
+  std::optional<SourceCoordState> source() const {
+    return engines[kSource - 1]->source_state(txn);
+  }
+  std::optional<TargetCoordState> target() const {
+    return engines[kTarget - 1]->target_state(txn);
+  }
+
+  /// Brokers hosting a copy of the mover.
+  std::vector<BrokerId> hosts() {
+    std::vector<BrokerId> at;
+    for (BrokerId b = 1; b <= 5; ++b) {
+      if (engine(b).find_client(kMover)) at.push_back(b);
+    }
+    return at;
+  }
+
+  void expect_no_shadows() {
+    for (BrokerId b = 1; b <= 5; ++b) {
+      EXPECT_FALSE(net.broker(b).tables().has_pending_shadows()) << b;
+    }
+  }
+
   std::mt19937_64 rng;
-  std::uniform_real_distribution<double> delay;
-  std::unique_ptr<TpcCoordinator> coord;
-  std::vector<std::unique_ptr<TpcParticipant>> parts;
-  std::vector<bool> part_crashed;
-  bool coord_crashed = false;
+  Overlay overlay;
+  SimNetwork net;
+  std::vector<std::unique_ptr<MobilityEngine>> engines;
+  TxnId txn = kNoTxn;
 };
+
+bool decided(std::optional<SourceCoordState> s) {
+  return s == SourceCoordState::Commit || s == SourceCoordState::Abort;
+}
+bool decided(std::optional<TargetCoordState> s) {
+  return s == TargetCoordState::Commit || s == TargetCoordState::Abort;
+}
 
 class ThreePcDistributed : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ThreePcDistributed, FailureFreeRunsCommitUnanimously) {
-  DistributedRun run(4, GetParam());
-  run.coord->start();
-  run.events.run();
-  EXPECT_EQ(run.coord->decision(), TpcDecision::Commit);
-  for (auto& p : run.parts) {
-    EXPECT_EQ(p->decision(), TpcDecision::Commit);
-  }
+  DistributedRun run(GetParam());
+  run.start_move();
+  run.net.run();
+  EXPECT_EQ(run.source(), SourceCoordState::Commit);
+  EXPECT_EQ(run.target(), TargetCoordState::Commit);
+  EXPECT_EQ(run.hosts(), std::vector<BrokerId>{kTarget});
+  EXPECT_EQ(run.engine(kTarget).find_client(kMover)->state(),
+            ClientState::Started);
+  run.expect_no_shadows();
 }
 
 TEST_P(ThreePcDistributed, ParticipantCrashBeforeVoteAbortsConsistently) {
-  DistributedRun run(4, GetParam());
-  // Participant 2 is dead from the start: its vote never arrives, the
-  // coordinator times out in Waiting and aborts; the rest follow (directly
-  // or via their own Ready-timeout).
-  run.part_crashed[2] = true;
-  run.drive_timeouts(10.0);
-  run.coord->start();
-  run.events.run();
-  EXPECT_EQ(run.coord->decision(), TpcDecision::Abort);
-  for (std::size_t i = 0; i < run.parts.size(); ++i) {
-    if (run.part_crashed[i]) continue;
-    EXPECT_EQ(run.parts[i]->decision(), TpcDecision::Abort) << i;
-  }
+  DistributedRun run(GetParam());
+  // The target is down from the start, long past the negotiate timeout: its
+  // vote cannot arrive in time, the source aborts, and once the target
+  // restarts its late approve is answered with an abort.
+  run.net.pause_broker(kTarget, 5.0);
+  run.start_move();
+  run.net.run();
+  EXPECT_EQ(run.source(), SourceCoordState::Abort);
+  EXPECT_EQ(run.target(), TargetCoordState::Abort);
+  EXPECT_EQ(run.hosts(), std::vector<BrokerId>{kSource});
+  EXPECT_EQ(run.engine(kSource).find_client(kMover)->state(),
+            ClientState::Started);
+  run.expect_no_shadows();
 }
 
 TEST_P(ThreePcDistributed, CoordinatorCrashAfterPreCommitStillCommits) {
-  DistributedRun run(3, GetParam());
-  // Let the protocol reach PreCommit, then kill the coordinator: the
-  // participants have seen preCommit and their timeouts must drive them to
-  // commit (3PC's non-blocking property).
-  run.coord->start();
-  // Deliver events until every participant is at least Ready or
-  // PreCommitted, then crash the coordinator at a random point after its
-  // own PreCommit transition.
-  while (run.events.step()) {
-    if (run.coord->state() == TpcCoordState::PreCommit) {
-      run.coord_crashed = true;
+  DistributedRun run(GetParam());
+  run.start_move();
+  // Step until the source passes its commit point (approve received, own
+  // shadows committed, state message sent), then crash it.
+  bool crashed = false;
+  while (run.net.events().step()) {
+    if (run.source() == SourceCoordState::Prepare) {
+      run.net.pause_broker(kSource, 5.0);
+      crashed = true;
       break;
     }
   }
-  ASSERT_TRUE(run.coord_crashed) << "run never reached PreCommit";
-  run.drive_timeouts(10.0);
-  run.events.run();
-  for (auto& p : run.parts) {
-    // Participants in PreCommitted commit; any still Ready (preCommit lost
-    // with the crash) abort — but 3PC guarantees this split cannot happen:
-    // preCommit was sent to everyone before the crash.
-    EXPECT_EQ(p->decision(), TpcDecision::Commit)
-        << to_string(p->state());
-  }
+  ASSERT_TRUE(crashed) << "run never reached Prepare";
+  // While the source is down, the target commits on the state message alone
+  // and its copy of the client runs.
+  run.net.run_until(run.net.now() + 4.0);
+  EXPECT_EQ(run.source(), SourceCoordState::Prepare);
+  EXPECT_EQ(run.target(), TargetCoordState::Commit);
+  ASSERT_NE(run.engine(kTarget).find_client(kMover), nullptr);
+  EXPECT_EQ(run.engine(kTarget).find_client(kMover)->state(),
+            ClientState::Started);
+  // After the restart the held ack completes the source side.
+  run.net.run();
+  EXPECT_EQ(run.source(), SourceCoordState::Commit);
+  EXPECT_EQ(run.hosts(), std::vector<BrokerId>{kTarget});
+  run.expect_no_shadows();
 }
 
 TEST_P(ThreePcDistributed, AllDecisionsAgreeUnderRandomSingleCrash) {
-  // Crash one random party at a random simulated time; whatever happens,
-  // no two live parties may decide differently.
-  DistributedRun run(4, GetParam());
-  std::uniform_real_distribution<double> when(0.0, 0.2);
-  std::uniform_int_distribution<int> who(-1, 3);  // -1 = coordinator
-  const int victim = who(run.rng);
-  run.events.schedule_at(when(run.rng), [&run, victim] {
-    if (victim < 0) {
-      run.coord_crashed = true;
-    } else {
-      run.part_crashed[victim] = true;
-    }
-  });
-  run.drive_timeouts(10.0);
-  run.coord->start();
-  run.events.run();
+  // Crash one random path broker at a random point of the movement for a
+  // random outage; whatever happens, source and target both decide, they
+  // decide the same way, and exactly one started copy of the client is left
+  // where that decision puts it.
+  DistributedRun run(GetParam());
+  std::uniform_int_distribution<BrokerId> who(kSource, kTarget);
+  std::uniform_real_distribution<double> when(0.0, 0.04);
+  std::uniform_real_distribution<double> outage(0.05, 1.5);
+  const BrokerId victim = who(run.rng);
+  const double down = outage(run.rng);
+  run.net.events().schedule_at(run.net.now() + when(run.rng),
+                               [&run, victim, down] {
+                                 run.net.pause_broker(victim, down);
+                               });
+  run.start_move();
+  run.net.run();
 
-  std::optional<TpcDecision> agreed;
-  if (!run.coord_crashed && run.coord->decision()) {
-    agreed = run.coord->decision();
-  }
-  for (std::size_t i = 0; i < run.parts.size(); ++i) {
-    if (run.part_crashed[i]) continue;
-    const auto d = run.parts[i]->decision();
-    ASSERT_TRUE(d.has_value()) << "live participant " << i << " undecided";
-    if (!agreed) agreed = d;
-    EXPECT_EQ(*d, *agreed) << "participant " << i << " disagrees";
-  }
+  const auto s = run.source();
+  const auto t = run.target();
+  ASSERT_TRUE(decided(s)) << "source undecided, victim " << victim;
+  ASSERT_TRUE(decided(t)) << "target undecided, victim " << victim;
+  const bool committed = *s == SourceCoordState::Commit;
+  EXPECT_EQ(*t == TargetCoordState::Commit, committed)
+      << "source " << to_string(*s) << ", target " << to_string(*t)
+      << ", victim " << victim;
+  const BrokerId home = committed ? kTarget : kSource;
+  EXPECT_EQ(run.hosts(), std::vector<BrokerId>{home}) << "victim " << victim;
+  ASSERT_NE(run.engine(home).find_client(kMover), nullptr);
+  EXPECT_EQ(run.engine(home).find_client(kMover)->state(),
+            ClientState::Started);
+  run.expect_no_shadows();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreePcDistributed,

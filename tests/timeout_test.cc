@@ -2,6 +2,8 @@
 // paper's bounded-delay network model (Sec. 4.1): when protocol messages
 // are delayed beyond the bound, coordinators abort conservatively and the
 // shadow routing state unwinds; the client always survives at the source.
+// With both timeouts at 0 (the blocking variant) a coordinator whose
+// message was lost parks instead of aborting.
 #include <gtest/gtest.h>
 
 #include "core/mobility_engine.h"
@@ -186,6 +188,66 @@ TEST(Timeout, PrepareRetryIsIdempotentUnderDelayedAck) {
     if (c == kMover && id == p.id()) ++n;
   }
   EXPECT_EQ(n, 1);
+}
+
+/// Drops every message whose payload is a `Msg` while `*armed` holds.
+template <typename Msg>
+SimNetwork::FaultHook drop_all(const bool* armed) {
+  return [armed](BrokerId, BrokerId, const Message& m) {
+    FaultAction a;
+    a.drop = *armed && std::holds_alternative<Msg>(m.payload);
+    return a;
+  };
+}
+
+TEST(Timeout, BlockingSourceParksInWaitWhenApproveIsLost) {
+  // No timeouts, no repair loop: the source cannot tell a lost approve from
+  // a slow one, so it parks in Wait with the client paused rather than
+  // aborting unilaterally. The target stays parked in Prepare.
+  TimeoutFixture f(with_timeouts(0.0, 0.0));
+  const bool armed = true;
+  f.net.set_fault_hook(drop_all<MoveApproveMsg>(&armed));
+  TxnId txn = kNoTxn;
+  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    txn = e.initiate_move(kMover, 5, out);
+  });
+  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Wait);
+  ASSERT_NE(f.engines[1]->find_client(kMover), nullptr);
+  EXPECT_EQ(f.engines[1]->find_client(kMover)->state(),
+            ClientState::PauseMove);
+  EXPECT_EQ(f.engines[4]->target_state(txn), TargetCoordState::Prepare);
+}
+
+TEST(Timeout, ParkedTargetNeverAbortsOnceSourcePassedCommitPoint) {
+  // The state message is lost after the source committed its own shadows
+  // (its commit point). The target, parked in Prepare, must not abort: a
+  // repair sweep there probes the source, which re-drives the idempotent
+  // state message, and the movement commits.
+  TimeoutFixture f(with_timeouts(0.0, 0.0));
+  bool armed = true;
+  f.net.set_fault_hook(drop_all<MoveStateMsg>(&armed));
+  TxnId txn = kNoTxn;
+  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    txn = e.initiate_move(kMover, 5, out);
+  });
+  ASSERT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Prepare);
+  ASSERT_EQ(f.engines[4]->target_state(txn), TargetCoordState::Prepare);
+
+  armed = false;
+  Broker::Outputs out;
+  EXPECT_EQ(f.engines[4]->repair_sweep_parked(0.0, out), 1u);
+  f.net.transmit(5, std::move(out));
+  while (f.net.events().step()) {
+    ASSERT_NE(f.engines[4]->target_state(txn), TargetCoordState::Abort);
+  }
+  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Commit);
+  EXPECT_EQ(f.engines[4]->target_state(txn), TargetCoordState::Commit);
+  EXPECT_EQ(f.engines[1]->find_client(kMover), nullptr);
+  ASSERT_NE(f.engines[4]->find_client(kMover), nullptr);
+  EXPECT_EQ(f.engines[4]->find_client(kMover)->state(), ClientState::Started);
+  for (BrokerId b = 1; b <= 5; ++b) {
+    EXPECT_FALSE(f.net.broker(b).tables().has_pending_shadows()) << b;
+  }
 }
 
 }  // namespace
